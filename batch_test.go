@@ -15,8 +15,12 @@ import (
 // answers identically to per-op ingestion — across 1 and 4 shards.
 func TestApplyBatchPublicAPI(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, policy := range []fuzzyknn.FsyncPolicy{fuzzyknn.FsyncAlways, fuzzyknn.FsyncBatch, fuzzyknn.FsyncOff} {
-			t.Run(fmt.Sprintf("shards=%d/fsync=%v", shards, policy), func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			policy fuzzyknn.FsyncPolicy
+		}{{"always", fuzzyknn.FsyncAlways}, {"batch", fuzzyknn.FsyncBatch}, {"off", fuzzyknn.FsyncOff}} {
+			policy := tc.policy
+			t.Run(fmt.Sprintf("shards=%d/fsync=%s", shards, tc.name), func(t *testing.T) {
 				cfg := &fuzzyknn.Config{Shards: shards, Fsync: policy}
 				path := filepath.Join(t.TempDir(), "objects.fzl")
 				idx, err := fuzzyknn.OpenLogIndex(path, 2, cfg)

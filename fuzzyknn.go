@@ -122,14 +122,16 @@ type FsyncPolicy = store.SyncPolicy
 // Fsync policies for log-backed indexes, trading durability of
 // acknowledged writes for throughput (never integrity — a crash always
 // leaves a log that reopens cleanly; the policy only bounds how much
-// acknowledged tail can be lost):
+// acknowledged tail can be lost). Every mutation is a group commit — a
+// single Insert or Delete is a one-item group — so there are two
+// behaviours:
 //
-//   - FsyncAlways: fsync after every committed mutation, single or batch.
-//     The default, and the strongest guarantee.
-//   - FsyncBatch: fsync once per ApplyBatch group commit; single
-//     Insert/Delete appends ride the OS page cache. Acknowledged batches
-//     survive power loss, recently acknowledged single mutations may not.
-//   - FsyncOff: never fsync; the OS flushes at its leisure.
+//   - FsyncAlways: fsync every group commit before acknowledging it. An
+//     acknowledged mutation survives power loss. The default.
+//   - FsyncBatch: an alias of FsyncAlways (fsync once per group commit),
+//     kept for callers that name it.
+//   - FsyncOff: never fsync; the OS flushes at its leisure, and a power
+//     loss may drop recently acknowledged mutations.
 const (
 	FsyncAlways = store.SyncAlways
 	FsyncBatch  = store.SyncBatch
@@ -137,7 +139,8 @@ const (
 )
 
 // ParseFsyncPolicy resolves the CLI names of the fsync policies:
-// always | batch | off (case-insensitive; empty selects FsyncAlways).
+// always | batch | off (case-insensitive; empty selects FsyncAlways;
+// batch is an alias of always).
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "", "always":
@@ -264,11 +267,10 @@ type Config struct {
 	// the single-tree layout.
 	Shards int
 	// Fsync selects the durability policy of a log-backed index
-	// (OpenLogIndex only): when the log fsyncs acknowledged mutations. The
-	// zero value is FsyncAlways, the historical behavior; FsyncBatch keeps
-	// group commits (ApplyBatch, Engine batch ingest, the server's batch
-	// endpoint) durable while letting single mutations ride the page
-	// cache. See the Fsync* constants for the exact tradeoffs.
+	// (OpenLogIndex only): whether the log fsyncs each group commit before
+	// acknowledging it. The zero value is FsyncAlways (FsyncBatch is an
+	// alias); FsyncOff leaves the flush to the OS. See the Fsync*
+	// constants for the exact tradeoffs.
 	Fsync FsyncPolicy
 }
 
@@ -433,14 +435,14 @@ func OpenIndex(path string, cfg *Config) (*Index, error) {
 }
 
 // OpenLogIndex opens (or creates) a mutable on-disk index backed by an
-// append-only log store: every Insert appends a durable put record, every
-// Delete a tombstone, and reopening replays the log — a file cut short by a
-// crash mid-append recovers by discarding the partial tail. For a new file,
-// dims fixes the dimensionality and must be >= 1; for an existing file it
-// must be 0 or match. With cfg.Shards > 1 every shard owns its own log
-// ("<path>.shard<i>-of-<n>"), so shards replay, append and fsync
-// independently; reopen with the same shard count. Close the index when
-// done.
+// append-only log store: every mutation — Insert, Delete or ApplyBatch —
+// appends one group-commit record, and reopening replays the log — a file
+// cut short by a crash mid-append recovers by discarding the partial tail.
+// For a new file, dims fixes the dimensionality and must be >= 1; for an
+// existing file it must be 0 or match. With cfg.Shards > 1 every shard
+// owns its own log ("<path>.shard<i>-of-<n>"), so shards replay, append
+// and fsync independently; reopen with the same shard count. Close the
+// index when done.
 func OpenLogIndex(path string, dims int, cfg *Config) (*Index, error) {
 	c := cfg.orDefault()
 	n := shardCount(c)
@@ -577,25 +579,28 @@ func (ix *Index) Close() error {
 	return first
 }
 
-// Insert adds an object to the index and its store. The object becomes
-// visible to queries that start after Insert returns; queries already in
-// flight complete against the population they started with (snapshot
-// isolation). It fails with ErrInvalidQuery for nil or dimensionally
-// mismatched objects, ErrDuplicate for a live id collision, and
-// ErrReadOnly when the underlying store cannot be written (OpenIndex).
+// Insert adds an object to the index and its store, as a one-item
+// ApplyBatch. The object becomes visible to queries that start after
+// Insert returns; queries already in flight complete against the
+// population they started with (snapshot isolation). It fails with
+// ErrInvalidQuery for nil or dimensionally mismatched objects, ErrDuplicate
+// for a live id collision, and ErrReadOnly when the underlying store
+// cannot be written (OpenIndex).
 func (ix *Index) Insert(obj *Object) error {
-	return ix.inner.Insert(obj)
+	_, err := ix.inner.ApplyBatch([]*Object{obj}, nil)
+	return query.ItemCause(err)
 }
 
-// Delete retires the object with the given id. Queries already in flight
-// still see it (and can still probe its payload — deletes are logical
-// tombstones in the store); queries started after Delete returns do not.
-// It fails with ErrNotFound for ids that are not live and ErrReadOnly on
-// read-only indexes. Locating the object costs one object access (counted
-// in TotalObjectAccesses; BatchDelete responses carry it as Stats).
+// Delete retires the object with the given id, as a one-item ApplyBatch.
+// Queries already in flight still see it (and can still probe its payload
+// — deletes are logical tombstones in the store); queries started after
+// Delete returns do not. It fails with ErrNotFound for ids that are not
+// live and ErrReadOnly on read-only indexes. Locating a live object costs
+// one object access (counted in TotalObjectAccesses; BatchDelete responses
+// carry it as Stats).
 func (ix *Index) Delete(id uint64) error {
-	_, err := ix.inner.Delete(id)
-	return err
+	_, err := ix.inner.ApplyBatch(nil, []uint64{id})
+	return query.ItemCause(err)
 }
 
 // ApplyBatch group-commits a batch of mutations — inserts, then deletes —

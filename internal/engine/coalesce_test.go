@@ -3,39 +3,25 @@ package engine
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"fuzzyknn/internal/dataset"
+	"fuzzyknn/internal/fault"
 	"fuzzyknn/internal/fuzzy"
 	"fuzzyknn/internal/query"
 	"fuzzyknn/internal/store"
 )
 
-// commitSpy wraps a BatchMutator store and records how mutations land:
-// group commits (with their sizes) vs single-record appends. It is how the
-// coalescing tests observe that N queued engine requests really collapse
-// into few store-level commits.
+// commitSpy wraps a store and records the size of every group commit. It
+// is how the coalescing tests observe that N queued engine requests really
+// collapse into few store-level commits.
 type commitSpy struct {
 	*store.MemStore
 
 	mu      sync.Mutex
 	batches []int // one entry per ApplyBatch, the item count
-	singles int   // Insert/Delete calls
-}
-
-func (s *commitSpy) Insert(o *fuzzy.Object) error {
-	s.mu.Lock()
-	s.singles++
-	s.mu.Unlock()
-	return s.MemStore.Insert(o)
-}
-
-func (s *commitSpy) Delete(id uint64) error {
-	s.mu.Lock()
-	s.singles++
-	s.mu.Unlock()
-	return s.MemStore.Delete(id)
 }
 
 func (s *commitSpy) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
@@ -45,10 +31,10 @@ func (s *commitSpy) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error 
 	return s.MemStore.ApplyBatch(inserts, deletes)
 }
 
-func (s *commitSpy) snapshot() (batches []int, singles int) {
+func (s *commitSpy) snapshot() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]int(nil), s.batches...), s.singles
+	return append([]int(nil), s.batches...)
 }
 
 // spyEnv builds an empty mutable index whose store-level commits are
@@ -100,20 +86,18 @@ func TestEngineCoalescesWrites(t *testing.T) {
 	if ix.Len() != len(objs) {
 		t.Fatalf("index has %d objects, want %d", ix.Len(), len(objs))
 	}
-	batches, singles := spy.snapshot()
-	commits := len(batches) + singles
-	if commits >= len(objs)/4 {
-		t.Fatalf("%d inserts took %d store commits (%d groups + %d singles); expected heavy coalescing",
-			len(objs), commits, len(batches), singles)
+	batches := spy.snapshot()
+	if len(batches) >= len(objs)/4 {
+		t.Fatalf("%d inserts took %d store commits; expected heavy coalescing", len(objs), len(batches))
 	}
 	var grouped int
 	for _, n := range batches {
 		grouped += n
 	}
-	if grouped+singles != len(objs) {
-		t.Fatalf("commit sizes sum to %d+%d, want %d", grouped, singles, len(objs))
+	if grouped != len(objs) {
+		t.Fatalf("commit sizes sum to %d, want %d", grouped, len(objs))
 	}
-	t.Logf("%d inserts -> %d group commits (sizes %v) + %d singles", len(objs), len(batches), batches, singles)
+	t.Logf("%d inserts -> %d group commits (sizes %v)", len(objs), len(batches), batches)
 }
 
 // TestEngineCoalesceFallback: a group holding invalid requests must report
@@ -267,5 +251,46 @@ func TestEngineInterleavedReadsAndWrites(t *testing.T) {
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineFallbackIsDurable: when a group is rejected and its requests
+// are retried one by one, each retry is a group commit too, so it fsyncs
+// before it is acknowledged. With every log fsync failing, the valid
+// groupmate of a duplicate insert must fail with store.ErrFailed instead of
+// being acknowledged from the page cache.
+func TestEngineFallbackIsDurable(t *testing.T) {
+	defer fault.Reset()
+	ls, err := store.OpenLogPolicy(filepath.Join(t.TempDir(), "objects.fzl"), 2, store.SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	ix, err := query.Build(ls, query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(ix, Options{Parallelism: 1})
+	defer eng.Close()
+	objs := genObjects(t, 2, 11)
+	if _, err := ix.ApplyBatch(objs[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Enable("store.log.sync", fault.Spec{Action: fault.ActError, Every: 1})
+	var wg sync.WaitGroup
+	resps := make([]Response, 2)
+	group := []job{
+		{ctx: context.Background(), req: Request{Kind: Insert, Obj: objs[0]}, resp: &resps[0], wg: &wg},
+		{ctx: context.Background(), req: Request{Kind: Insert, Obj: objs[1]}, resp: &resps[1], wg: &wg},
+	}
+	wg.Add(len(group))
+	eng.executeWrites(group)
+	wg.Wait()
+	if !errors.Is(resps[0].Err, store.ErrDuplicate) {
+		t.Fatalf("duplicate insert: %v, want store.ErrDuplicate", resps[0].Err)
+	}
+	if !errors.Is(resps[1].Err, store.ErrFailed) {
+		t.Fatalf("valid insert over failing fsync: %v, want store.ErrFailed", resps[1].Err)
 	}
 }

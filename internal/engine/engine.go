@@ -40,10 +40,10 @@ import (
 // Kind selects the query or mutation type of a Request.
 type Kind int
 
-// Supported request kinds. Insert and Delete are index mutations: they run
-// through the same worker pool and batching machinery as queries, so a
-// mixed batch can interleave reads and writes; the index's snapshot
-// isolation keeps the concurrently executing queries consistent.
+// Supported request kinds. Insert and Delete are index mutations: they
+// queue on the write coalescer instead of the worker pool, so a mixed
+// batch can interleave reads and writes; the index's snapshot isolation
+// keeps the concurrently executing queries consistent.
 const (
 	AKNN Kind = iota
 	RKNN
@@ -331,12 +331,13 @@ func (e *Engine) Checkpoint(compact bool) ([]store.CheckpointInfo, error) {
 
 // executeWrites commits one drained group of mutation requests. The fast
 // path applies the whole group through Searcher.ApplyBatch; a validation
-// rejection (query.BatchError — nothing was applied) falls back to per-
-// request application in arrival order, so every request keeps exactly the
-// verdict it would have gotten unbatched while valid groupmates still
-// commit. Per-request statistics keep the accounting invariant (store
-// access total == Σ per-request stats): batch validation probes are folded
-// into the owning request even when the group retries item by item.
+// rejection (query.BatchError — nothing was applied) falls back to one
+// one-item ApplyBatch per request in arrival order, so every request keeps
+// exactly the verdict it would have gotten unbatched while valid
+// groupmates still commit — with the same durability, since every commit
+// is a group commit. Per-request statistics keep the accounting invariant
+// (store access total == Σ per-request stats): batch validation probes are
+// folded into the owning request even when the group retries item by item.
 func (e *Engine) executeWrites(group []job) {
 	answered := make([]bool, len(group))
 	finish := func(i int, st query.Stats, err error) {
@@ -383,11 +384,6 @@ func (e *Engine) executeWrites(group []job) {
 	if len(inserts)+len(deletes) == 0 {
 		return
 	}
-	// Even a group of one goes through ApplyBatch: a drained group is a
-	// group commit, and under store.SyncBatch that is the path that fsyncs
-	// before acknowledgment — the plain Insert/Delete appends deliberately
-	// do not. (A 1-item POST /objects:batch must be as durable as a
-	// 256-item one.)
 	stats, err := e.ix.ApplyBatch(inserts, deletes)
 	// stats is in combined order (inserts, then deletes); map it back onto
 	// group positions. A refusal that did no work at all (e.g. a degraded
@@ -414,14 +410,19 @@ func (e *Engine) executeWrites(group []job) {
 			if answered[i] {
 				continue
 			}
-			st := accrued[i]
+			var ins []*fuzzy.Object
+			var del []uint64
 			if group[i].req.Kind == Insert {
-				finish(i, st, e.ix.Insert(group[i].req.Obj))
-				continue
+				ins = []*fuzzy.Object{group[i].req.Obj}
+			} else {
+				del = []uint64{group[i].req.ID}
 			}
-			dst, derr := e.ix.Delete(group[i].req.ID)
-			st.Add(dst)
-			finish(i, st, derr)
+			st := accrued[i]
+			retry, rerr := e.ix.ApplyBatch(ins, del)
+			if len(retry) == 1 {
+				st.Add(retry[0])
+			}
+			finish(i, st, query.ItemCause(rerr))
 		}
 		return
 	}
@@ -461,13 +462,6 @@ func (e *Engine) execute(j job) {
 		j.resp.Ranged, j.resp.Stats, j.resp.Err = e.ix.RKNN(r.Q, r.K, r.AlphaStart, r.AlphaEnd, r.RKNNAlgo)
 	case RangeSearch:
 		j.resp.Results, j.resp.Stats, j.resp.Err = e.ix.RangeSearch(r.Q, r.Alpha, r.Radius)
-	case Insert:
-		j.resp.Err = e.ix.Insert(r.Obj)
-	case Delete:
-		// The locate probe is a real store access; carrying it in the
-		// response (success or not) keeps the accounting invariant (store
-		// total == sum of per-request stats) intact for mixed workloads.
-		j.resp.Stats, j.resp.Err = e.ix.Delete(r.ID)
 	default:
 		j.resp.Err = fmt.Errorf("engine: unknown request kind %d (%w)", int(r.Kind), query.ErrInvalidArgument)
 	}

@@ -11,6 +11,22 @@ import (
 	"fuzzyknn/internal/store"
 )
 
+// insertOne and deleteOne commit one mutation as a one-item batch,
+// reporting a rejection as the item's own cause.
+func insertOne(s Searcher, o *fuzzy.Object) error {
+	_, err := s.ApplyBatch([]*fuzzy.Object{o}, nil)
+	return ItemCause(err)
+}
+
+func deleteOne(s Searcher, id uint64) (Stats, error) {
+	stats, err := s.ApplyBatch(nil, []uint64{id})
+	var st Stats
+	if len(stats) == 1 {
+		st = stats[0]
+	}
+	return st, ItemCause(err)
+}
+
 // makeObjects builds n random fuzzy objects with quantized memberships in a
 // small space so that supports overlap and distance ties (including zeros)
 // actually occur.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -51,7 +52,7 @@ func (e *BatchItemError) Unwrap() error { return e.Err }
 // BatchError rejects a whole batch: validation found the listed item
 // errors (all of them, not just the first) and NOTHING was applied — the
 // all-or-nothing contract means the caller may correct the offending items
-// and resubmit, or fall back to item-by-item application to get per-item
+// and resubmit, or resubmit each item as a one-item batch to get per-item
 // verdicts. Items are ordered inserts-before-deletes, ascending positions.
 type BatchError struct {
 	Items []BatchItemError
@@ -79,6 +80,16 @@ func (e *BatchError) Unwrap() []error {
 		out[i] = &e.Items[i]
 	}
 	return out
+}
+
+// ItemCause returns the cause of a rejected one-item batch — the error a
+// single insert or delete reports — and any other error unchanged.
+func ItemCause(err error) error {
+	var be *BatchError
+	if errors.As(err, &be) && len(be.Items) == 1 {
+		return be.Items[0].Err
+	}
+	return err
 }
 
 // sortItems orders the collected item errors canonically.
@@ -114,9 +125,6 @@ func (ix *Index) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats,
 	stats := make([]Stats, len(inserts)+len(deletes))
 	if len(inserts)+len(deletes) == 0 {
 		return stats, nil
-	}
-	if ix.pageCache != nil {
-		return stats, fmt.Errorf("query: batch: %w: paged index is read-only", store.ErrReadOnly)
 	}
 	ix.writeMu.Lock()
 	defer ix.writeMu.Unlock()
@@ -186,12 +194,21 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	insErr := func(i int, err error) { errs = append(errs, BatchItemError{Op: OpInsert, Pos: insPos[i], Err: err}) }
 	delErr := func(j int, err error) { errs = append(errs, BatchItemError{Op: OpDelete, Pos: delPos[j], Err: err}) }
 
-	if _, isMutable := ix.store.(store.Mutator); !isMutable {
+	// A paged tree's shape is bound to its page file, so a paged index is
+	// read-only whatever its store can do.
+	var readOnly error
+	switch _, isMutable := ix.store.(store.Mutator); {
+	case ix.pageCache != nil:
+		readOnly = fmt.Errorf("%w: paged index is read-only", store.ErrReadOnly)
+	case !isMutable:
+		readOnly = fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store)
+	}
+	if readOnly != nil {
 		for i := range inserts {
-			insErr(i, fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store))
+			insErr(i, readOnly)
 		}
 		for j := range deletes {
-			delErr(j, fmt.Errorf("%w: store %T has no write side", store.ErrReadOnly, ix.store))
+			delErr(j, readOnly)
 		}
 		return nil, errs
 	}
@@ -205,7 +222,10 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 	}
 
 	dims := s.dims
-	seen := make(map[uint64]int, len(inserts)+len(deletes))
+	var seen map[uint64]int // stays nil for a one-item batch, which cannot repeat an id: no map per single op
+	if len(inserts)+len(deletes) > 1 {
+		seen = make(map[uint64]int, len(inserts)+len(deletes))
+	}
 	for i, o := range inserts {
 		switch {
 		case o == nil:
@@ -222,7 +242,9 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 			insErr(i, fmt.Errorf("%w: %d (repeated in batch)", store.ErrDuplicate, o.ID()))
 			continue
 		}
-		seen[o.ID()] = i
+		if seen != nil {
+			seen[o.ID()] = i
+		}
 		if isLive, known := live(o.ID()); known && isLive {
 			insErr(i, fmt.Errorf("%w: %d", store.ErrDuplicate, o.ID()))
 		}
@@ -234,7 +256,9 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 			delErr(j, badArgf("id %d already appears in the batch", id))
 			continue
 		}
-		seen[id] = j
+		if seen != nil {
+			seen[id] = j
+		}
 		if isLive, known := live(id); known && !isLive {
 			delErr(j, fmt.Errorf("%w: id %d", store.ErrNotFound, id))
 			continue
@@ -294,13 +318,16 @@ func (ix *Index) prepareBatch(inserts []*fuzzy.Object, deletes []uint64, insPos,
 // the batch; past that, incremental insertion's O(b·log n) wins. Returns
 // nil when the incremental path should be used — Incremental-option trees
 // (the ablation that pins incremental insertion) always take it, and the
-// caller routes deleting batches to it before asking. The rebuilt tree
-// holds exactly the same leaf items, so
+// caller routes deleting batches to it before asking. A one-item batch (a
+// single Insert) takes it too: rebuilding cannot pay for one item, and an
+// Insert loop then grows the same tree as incremental insertion, so the
+// paper's node and object counters on it do not depend on how the loop
+// was issued. The rebuilt tree holds exactly the same leaf items, so
 // answers are unchanged; only the node layout differs (STR-packed instead
 // of split-grown), which the cross-path equivalence tests pin down.
 func (ix *Index) bulkRebuild(tree *rtree.Tree, inserts []*fuzzy.Object, items []*leafItem) *rtree.Tree {
 	const bulkRebuildFactor = 4
-	if len(inserts) == 0 || ix.opts.Incremental || tree.Len() > bulkRebuildFactor*len(inserts) {
+	if len(inserts) < 2 || ix.opts.Incremental || tree.Len() > bulkRebuildFactor*len(inserts) {
 		return nil
 	}
 	all := make([]rtree.BulkItem, 0, tree.Len()+len(inserts))
@@ -337,28 +364,10 @@ func (p *batchPrep) commit() error {
 	return nil
 }
 
-// storeApply routes the group to the store's batch side (one write + one
-// fsync for a log store), translating store item errors to batch errors.
+// storeApply commits the group to the store (one write + one fsync for a
+// log store), translating store item errors to batch errors.
 func (p *batchPrep) storeApply() error {
-	bm, ok := p.ix.store.(store.BatchMutator)
-	if !ok {
-		// Exotic stack without a batch side (every shipped mutable store
-		// has one): fall back to item-by-item application. Validation has
-		// already passed, so failures here are of the I/O class.
-		m := p.ix.store.(store.Mutator)
-		for _, o := range p.inserts {
-			if err := p.ix.noteStoreErr(m.Insert(o)); err != nil {
-				return fmt.Errorf("query: batch insert %d: %w", o.ID(), err)
-			}
-		}
-		for _, id := range p.deletes {
-			if err := p.ix.noteStoreErr(m.Delete(id)); err != nil {
-				return fmt.Errorf("query: batch delete %d: %w", id, err)
-			}
-		}
-		return nil
-	}
-	err := p.ix.noteStoreErr(bm.ApplyBatch(p.inserts, p.deletes))
+	err := p.ix.noteStoreErr(p.ix.store.(store.Mutator).ApplyBatch(p.inserts, p.deletes))
 	if err == nil {
 		return nil
 	}
@@ -410,10 +419,10 @@ func parallelFor(n int, fn func(i int)) {
 // only if every shard accepts does each commit — in parallel, one group
 // commit and one snapshot publish per shard. A validation failure anywhere
 // aborts the whole batch with nothing applied on any shard, mirroring the
-// single-tree all-or-nothing contract. (As with single mutations there is
-// no global snapshot: a concurrent query may see shard A's half of a batch
-// before shard B publishes; each shard's view is still consistent, and
-// quiescent reads match a single tree.)
+// single-tree all-or-nothing contract. (There is no global snapshot: a
+// concurrent query may see shard A's half of a batch before shard B
+// publishes; each shard's view is still consistent, and quiescent reads
+// match a single tree.)
 //
 // Stats and error positions refer to the caller's slices, exactly like
 // Index.ApplyBatch.
@@ -422,9 +431,6 @@ func (sx *ShardedIndex) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([
 	stats := make([]Stats, len(inserts)+len(deletes))
 	if len(inserts)+len(deletes) == 0 {
 		return stats, nil
-	}
-	if err := sx.refuseIfDegraded(); err != nil {
-		return nil, fmt.Errorf("query: batch: %w", err)
 	}
 	if err := sx.refuseIfDegraded(); err != nil {
 		return nil, fmt.Errorf("query: batch: %w", err)
@@ -524,9 +530,9 @@ func (sx *ShardedIndex) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([
 		if err != nil {
 			// A commit-phase failure is of the I/O class (validation passed
 			// everywhere); other shards may have published their
-			// sub-batches — the same no-global-snapshot caveat as
-			// concurrent single mutations, reported verbatim so the caller
-			// does not retry item-by-item on top of a half-landed group.
+			// sub-batches (there is no global snapshot); reported verbatim
+			// so the caller does not retry item by item on top of a
+			// half-landed group.
 			return stats, err
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // The ingest benchmarks measure the write path end to end: ingesting a
-// fixed object set into a fresh index, per-op (the pre-group-commit path:
+// fixed object set into a fresh index, per-op (one-item ApplyBatch groups:
 // one lock, clone, snapshot publish and — log-backed — one fsync per
 // object) versus ApplyBatch groups of 256 (all four amortized across the
 // group). ns/op is the cost of the WHOLE ingest, so the per-op/batch ratio
@@ -39,18 +39,10 @@ func runIngest(b *testing.B, objs []*fuzzy.Object, batch int, newIndex func(i in
 		b.StopTimer()
 		ix := newIndex(i)
 		b.StartTimer()
-		if batch <= 1 {
-			for _, o := range objs {
-				if err := ix.Insert(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		} else {
-			for lo := 0; lo < len(objs); lo += batch {
-				hi := min(lo+batch, len(objs))
-				if _, err := ix.ApplyBatch(objs[lo:hi], nil); err != nil {
-					b.Fatal(err)
-				}
+		for lo := 0; lo < len(objs); lo += batch {
+			hi := min(lo+batch, len(objs))
+			if _, err := ix.ApplyBatch(objs[lo:hi], nil); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

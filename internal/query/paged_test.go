@@ -243,10 +243,10 @@ func TestPagedIndexIsReadOnly(t *testing.T) {
 	p := newPagedPair(t, 5, 40, 1, tinyCache)
 	defer p.close()
 	o := makeObjectsWithBase(rand.New(rand.NewPCG(1, 2)), 9000, 1, 8, 12, 8)[0]
-	if err := p.paged.Insert(o); !errors.Is(err, store.ErrReadOnly) {
+	if err := insertOne(p.paged, o); !errors.Is(err, store.ErrReadOnly) {
 		t.Fatalf("Insert: %v, want ErrReadOnly", err)
 	}
-	if _, err := p.paged.Delete(1); !errors.Is(err, store.ErrReadOnly) {
+	if _, err := deleteOne(p.paged, 1); !errors.Is(err, store.ErrReadOnly) {
 		t.Fatalf("Delete: %v, want ErrReadOnly", err)
 	}
 	if _, err := p.paged.ApplyBatch([]*fuzzy.Object{o}, nil); !errors.Is(err, store.ErrReadOnly) {

@@ -40,16 +40,13 @@ type Searcher interface {
 	ReverseKNN(q *fuzzy.Object, k int, alpha float64) ([]Result, Stats, error)
 	// ExpectedDistKNN ranks by the integrated distance ∫₀¹ d_α dα (§2.1).
 	ExpectedDistKNN(q *fuzzy.Object, k int) ([]Result, Stats, error)
-	// Insert adds an object; it becomes visible to queries that start after
-	// Insert returns.
-	Insert(obj *fuzzy.Object) error
-	// Delete retires an object; the locate probe is charged to the returned
-	// Stats.
-	Delete(id uint64) (Stats, error)
 	// ApplyBatch group-commits inserts and deletes as one index transition
 	// per shard (one writer-lock acquisition, one tree clone, one snapshot
 	// publish, one store fsync), all-or-nothing on validation failure
-	// (*BatchError). The stats slice has one entry per item, inserts first.
+	// (*BatchError). It is the only write path: a single insert or delete
+	// is a one-item batch. Committed items are visible to queries that
+	// start after it returns. The stats slice has one entry per item,
+	// inserts first; a delete's locate probe is charged to its entry.
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) ([]Stats, error)
 	// Checkpoint cuts a durable checkpoint of every shard's store —
 	// optionally compacting each shard's log afterwards — and returns

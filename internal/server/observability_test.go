@@ -502,3 +502,46 @@ func TestWriteErrorsAlwaysJSON(t *testing.T) {
 		resp.Body.Close()
 	}
 }
+
+// TestServeUnencodableResponse500: an object with a 1e200 coordinate makes
+// squared gaps overflow, so /aknn by its id yields +Inf distances that JSON
+// cannot encode. The answer must be a logged JSON 500, not a 200 with an
+// empty body.
+func TestServeUnencodableResponse500(t *testing.T) {
+	objs := []*fuzzyknn.Object{blob(t, 1, 2, 0), blob(t, 2, 3, 0.5)}
+	ix, err := fuzzyknn.NewIndex(objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ix.NewEngine(nil)
+	var mu sync.Mutex
+	var logged []string
+	ts := httptest.NewServer(New(ix, eng, &Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}}))
+	t.Cleanup(func() { ts.Close(); eng.Close(); ix.Close() })
+
+	huge := InsertRequest{Object: &ObjectJSON{ID: 7, Points: []PointJSON{{P: []float64{1e200, 0}, Mu: 1}}}}
+	var created MutationResponse
+	if code := postJSON(t, ts.URL+"/objects", huge, &created); code != http.StatusCreated {
+		t.Fatalf("insert = %d, want 201", code)
+	}
+	resp, err := http.Post(ts.URL+"/aknn", "application/json", strings.NewReader(`{"query_id": 7, "k": 3, "alpha": 0.5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("POST /aknn = %d, want 500", resp.StatusCode)
+	}
+	assertJSONError(t, resp, "encode response")
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logged {
+		if strings.Contains(l, "encode_error") {
+			return
+		}
+	}
+	t.Fatalf("encode failure was not logged: %q", logged)
+}

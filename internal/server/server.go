@@ -82,6 +82,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -233,11 +234,12 @@ func (s *Server) logf(format string, args ...any) {
 
 // statusRecorder captures the response status (and whether anything was
 // written) so the middleware can record metrics and avoid double-writing
-// after a handler panic.
+// after a handler panic, and carries an encode failure to the log.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	wrote  bool
+	status    int
+	wrote     bool
+	encodeErr error // a response body writeJSON could not encode
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -278,6 +280,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if !rec.wrote {
 				writeError(rec, http.StatusInternalServerError, fmt.Errorf("internal error: %v", p))
 			}
+		}
+		if rec.encodeErr != nil {
+			s.logf("encode_error method=%s path=%s: %v", r.Method, r.URL.Path, rec.encodeErr)
 		}
 		s.observe(r, rec, time.Since(start))
 	}()
@@ -998,12 +1003,24 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
+// writeJSON encodes body before writing the status, so a body that cannot
+// be encoded (a non-finite distance, say) answers a JSON 500 instead of the
+// status with an empty body. The middleware logs the encode failure.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
+		if rec, ok := w.(*statusRecorder); ok {
+			rec.encodeErr = err
+		}
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(ErrorResponse{Error: fmt.Sprintf("encode response: %v", err)}) // a string field always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone; nothing is left to tell it
 }
 
 func toResults(rs []fuzzyknn.Result) []ResultJSON {

@@ -13,8 +13,8 @@ import (
 )
 
 // batchStores builds one fresh store per mutable kind so every batch test
-// runs against both implementations of BatchMutator.
-func batchStores(t *testing.T) map[string]BatchMutator {
+// runs against both implementations of Mutator.
+func batchStores(t *testing.T) map[string]Mutator {
 	t.Helper()
 	ms, err := NewMemStore(nil)
 	if err != nil {
@@ -25,7 +25,7 @@ func batchStores(t *testing.T) map[string]BatchMutator {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ls.Close() })
-	return map[string]BatchMutator{"mem": ms, "log": ls}
+	return map[string]Mutator{"mem": ms, "log": ls}
 }
 
 func TestApplyBatchRoundTrip(t *testing.T) {
@@ -135,9 +135,9 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 }
 
-// TestLogStoreBatchReplay reopens a log holding a mix of batch and single
-// records and checks the replayed directory matches a sequentially written
-// twin.
+// TestLogStoreBatchReplay reopens a log holding batch records of several
+// sizes and checks the replayed directory matches a twin written one item
+// per group.
 func TestLogStoreBatchReplay(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	dir := t.TempDir()
@@ -156,7 +156,7 @@ func TestLogStoreBatchReplay(t *testing.T) {
 	if err := bs.ApplyBatch(objs[:8], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := bs.Insert(objs[8]); err != nil { // single record between batches
+	if err := insertOne(bs, objs[8]); err != nil { // one-item group between batches
 		t.Fatal(err)
 	}
 	if err := bs.ApplyBatch(objs[9:], []uint64{2, 5}); err != nil {
@@ -171,12 +171,12 @@ func TestLogStoreBatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range objs {
-		if err := ss.Insert(o); err != nil {
+		if err := insertOne(ss, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, id := range []uint64{2, 5} {
-		if err := ss.Delete(id); err != nil {
+		if err := deleteOne(ss, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func TestLogStoreBatchCorruptLengthRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(randObject(rng, 1, 3, 2)); err != nil {
+	if err := insertOne(s, randObject(rng, 1, 3, 2)); err != nil {
 		t.Fatal(err)
 	}
 	preBatch, err := os.Stat(path)
@@ -357,8 +357,12 @@ func TestLogStoreApplyBatchSyncPolicies(t *testing.T) {
 		randObject(rng, 1, 3, 2),
 		randObject(rng, 2, 3, 2),
 	}
-	for _, policy := range []SyncPolicy{SyncAlways, SyncBatch, SyncOff} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+	}{{"always", SyncAlways}, {"batch", SyncBatch}, {"off", SyncOff}} {
+		policy := tc.policy
+		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "objects.fzl")
 			s, err := OpenLogPolicy(path, 2, policy)
 			if err != nil {
@@ -367,10 +371,10 @@ func TestLogStoreApplyBatchSyncPolicies(t *testing.T) {
 			if err := s.ApplyBatch(objs, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Insert(randObject(rng, 3, 3, 2)); err != nil {
+			if err := insertOne(s, randObject(rng, 3, 3, 2)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Delete(1); err != nil {
+			if err := deleteOne(s, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Sync(); err != nil {
@@ -436,4 +440,40 @@ func TestWrapperBatchForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameObject(t, replacement, got)
+}
+
+// TestMergeSortedIDs checks the in-place live-id merge against a sort of
+// the expected set, across random commits that insert below, between and
+// above the existing ids and delete anywhere.
+func TestMergeSortedIDs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 5))
+	live := map[uint64]bool{}
+	var ids []uint64
+	for round := 0; round < 500; round++ {
+		var inserts []*fuzzy.Object
+		var deletes []uint64
+		for n := rng.IntN(4); len(inserts) < n; {
+			id := rng.Uint64N(200)
+			if !live[id] {
+				live[id] = true
+				inserts = append(inserts, randObject(rng, id, 1, 2))
+			}
+		}
+		for _, id := range ids {
+			if rng.IntN(8) == 0 {
+				delete(live, id)
+				deletes = append(deletes, id)
+			}
+		}
+		rng.Shuffle(len(deletes), func(i, j int) { deletes[i], deletes[j] = deletes[j], deletes[i] })
+		ids = mergeSortedIDs(ids, inserts, deletes)
+		want := make([]uint64, 0, len(live))
+		for id := range live {
+			want = append(want, id)
+		}
+		slices.Sort(want)
+		if !slices.Equal(ids, want) {
+			t.Fatalf("round %d: got %v, want %v", round, ids, want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand/v2"
 	"os"
 	"testing"
@@ -70,22 +71,24 @@ func FuzzRecordRoundTrip(f *testing.F) {
 }
 
 // validLogImage builds a well-formed log file image with a few puts and
-// tombstones — single records and a group-commit batch record, so the
-// replay and truncation fuzzers exercise both framings — returning its
-// bytes.
+// tombstones — standalone records (the framing CompactLog writes) and a
+// group-commit batch record, so the replay and truncation fuzzers exercise
+// both framings — returning its bytes.
 func validLogImage(t testingTB, dir string, seed uint64) []byte {
 	path := dir + "/seed.fzl"
 	s, err := OpenLog(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(seed, seed))
 	for i := 1; i <= 4; i++ {
-		if err := s.Insert(randObject(rng, uint64(i), 3+rng.IntN(5), 2)); err != nil {
-			t.Fatal(err)
-		}
+		appendRecordFrame(t, path, recPut, encodeObject(randObject(rng, uint64(i), 3+rng.IntN(5), 2)))
 	}
-	if err := s.Delete(2); err != nil {
+	appendRecordFrame(t, path, recTombstone, binary.LittleEndian.AppendUint64(nil, 2))
+	if s, err = OpenLog(path, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ApplyBatch([]*fuzzy.Object{
@@ -102,6 +105,25 @@ func validLogImage(t testingTB, dir string, seed uint64) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// appendRecordFrame appends one standalone record frame (kind, length,
+// payload, CRC) to the log file at path.
+func appendRecordFrame(t testingTB, path string, kind byte, payload []byte) {
+	frame := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(payload)))
+	frame = append(frame, payload...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // testingTB is the subset of testing.TB the fuzz helpers need, so they work
@@ -188,7 +210,7 @@ func FuzzLogTruncate(f *testing.F) {
 		}
 		defer s.Close()
 		rng := rand.New(rand.NewPCG(uint64(cut), 1))
-		if err := s.Insert(randObject(rng, 1_000_000, 3, 2)); err != nil {
+		if err := insertOne(s, randObject(rng, 1_000_000, 3, 2)); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if _, err := s.Get(1_000_000); err != nil {

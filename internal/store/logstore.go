@@ -34,51 +34,49 @@ var (
 )
 
 // SyncPolicy selects when a LogStore fsyncs. The policies trade the
-// durability of *acknowledged* mutations for write throughput. None of
-// them can make reopen serve wrong or half-applied data: recovery either
+// durability of *acknowledged* mutations for write throughput. Neither can
+// make reopen serve wrong or half-applied data: recovery either
 // reconstructs a consistent record prefix (truncating a torn tail whole)
 // or fails loudly with ErrCorrupt. The difference is what a power loss can
 // cost. Under SyncAlways every acknowledged mutation is on stable storage,
 // so recovery always succeeds with at most an unacknowledged tail lost.
-// Under SyncBatch/SyncOff an unsynced tail may vanish — and because the
-// OS may write its pages back out of order, a crash can in rare cases
-// leave a gap mid-tail, which recovery reports as ErrCorrupt (refusing to
-// guess) rather than truncating valid-looking records behind it; restore
-// the file or rebuild the index then. fsync is exactly the barrier that
-// rules that case out.
+// Under SyncOff an unsynced tail may vanish — and because the OS may write
+// its pages back out of order, a crash can in rare cases leave a gap
+// mid-tail, which recovery reports as ErrCorrupt (refusing to guess)
+// rather than truncating valid-looking records behind it; restore the file
+// or rebuild the index then. fsync is exactly the barrier that rules that
+// case out.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every committed mutation — each single
-	// Insert/Delete and each ApplyBatch. An acknowledged mutation survives
-	// power loss. The zero value, and the historical behavior.
+	// SyncAlways fsyncs every group commit (every ApplyBatch, one-item
+	// groups included) before acknowledging it, so an acknowledged
+	// mutation survives power loss. The zero value.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs once per ApplyBatch group commit but lets single
-	// Insert/Delete appends ride the OS page cache. Acknowledged batches
-	// are durable; a power loss may drop recently acknowledged single
-	// mutations (see the type comment for the recovery contract).
-	SyncBatch
 	// SyncOff never fsyncs; the OS flushes at its leisure. Fastest, and a
 	// power loss may drop any recently acknowledged mutations (see the
 	// type comment for the recovery contract).
 	SyncOff
 )
 
+// SyncBatch is an alias of SyncAlways, kept for callers that name it:
+// since every mutation is a group commit, fsyncing once per group and
+// fsyncing every commit are the same policy.
+const SyncBatch = SyncAlways
+
 // String names the policy like the fuzzyserve -fsync flag values.
 func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncBatch:
-		return "batch"
 	case SyncOff:
 		return "off"
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
-// LogStore is a mutable on-disk store: an append-only log of put and
-// tombstone records. It is the write-side counterpart of the immutable
+// LogStore is a mutable on-disk store: an append-only log of group-commit
+// records. It is the write-side counterpart of the immutable
 // DiskStore format — where DiskStore finalizes a directory and footer once,
 // LogStore recovers its directory by replaying the log on open, so the file
 // is always in a servable state, even right after a crash.
@@ -88,12 +86,15 @@ func (p SyncPolicy) String() string {
 //	header:  magic "FZKNNLG1" | version u32 | dims u32
 //	record:  kind u8 | length u32 | payload | crc32 u4 (of kind+length+payload)
 //
-// A put record's payload is an encodeObject record; a tombstone's payload is
-// the deleted id (u64). On open, a record cut short at end-of-file is a
-// crash tail: it is discarded and the file truncated to the last complete
-// record. A full-length record with a bad checksum, or a semantically
-// impossible record (duplicate live put, tombstone for a dead id), is
-// corruption and surfaces as ErrCorrupt.
+// Every mutation appends one batch record (see below) holding put and
+// tombstone sub-records. Standalone put and tombstone records are written
+// only by CompactLog, and replay reads all three kinds. A put's payload is
+// an encodeObject record; a tombstone's payload is the deleted id (u64).
+// On open, a record cut short at end-of-file is a crash tail: it is
+// discarded and the file truncated to the last complete record. A
+// full-length record with a bad checksum, or a semantically impossible
+// record (duplicate live put, tombstone for a dead id), is corruption and
+// surfaces as ErrCorrupt.
 //
 // Deletes are logical: the payload bytes stay in the file and Get keeps
 // serving the most recent tombstoned version of an id, so index snapshots
@@ -634,42 +635,6 @@ func (s *LogStore) truncateTail(pos int64) error {
 	return nil
 }
 
-// appendRecord frames, checksums and writes one record at the current end.
-// Under SyncAlways the record is fsync'd before the mutation is
-// acknowledged — without that a power loss could silently drop it (reopen
-// would truncate it as a crash tail); SyncBatch and SyncOff accept that
-// risk for single appends and leave the flush to the OS (group commits
-// fsync through ApplyBatch instead).
-func (s *LogStore) appendRecord(kind byte, payload []byte) error {
-	buf := make([]byte, logFrameSize+len(payload)+4)
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	copy(buf[logFrameSize:], payload)
-	crc := crc32.ChecksumIEEE(buf[:len(buf)-4])
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
-	return s.writeRecord(buf, s.policy == SyncAlways)
-}
-
-// writeRecord lands one framed record at the append position, optionally
-// fsyncing, and advances the position only on success. Any failure
-// fail-stops the store (see failLocked): a short or torn write leaves
-// garbage at the tail that a full-length reopen scan could mistake for
-// corruption, and a failed fsync means the page cache may already have
-// dropped acknowledged bytes — in both cases continuing to acknowledge
-// writes would be lying about durability.
-func (s *LogStore) writeRecord(buf []byte, sync bool) error {
-	if _, err := s.f.WriteAt(buf, s.offset); err != nil {
-		return s.failLocked("log append", err)
-	}
-	if sync {
-		if err := s.f.Sync(); err != nil {
-			return s.failLocked("log fsync", err)
-		}
-	}
-	s.offset += int64(len(buf))
-	return nil
-}
-
 // failLocked poisons the store after an I/O failure on the active log:
 // the first caller records a sticky error wrapping ErrFailed and makes a
 // best-effort truncate back to the acknowledged append position, so the
@@ -742,52 +707,6 @@ func (s *LogStore) Len() int {
 // Dims implements Reader.
 func (s *LogStore) Dims() int { return s.dims }
 
-// Insert implements Mutator: one durable put record appended to the log.
-func (s *LogStore) Insert(o *fuzzy.Object) error {
-	if o.Dims() != s.dims {
-		return fmt.Errorf("store: object dims %d, store dims %d", o.Dims(), s.dims)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	if _, isLive := s.live[o.ID()]; isLive {
-		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
-	}
-	payload := encodeObject(o)
-	offset := uint64(s.offset + logFrameSize)
-	if err := s.appendRecord(recPut, payload); err != nil {
-		return err
-	}
-	s.live[o.ID()] = dirEntry{id: o.ID(), offset: offset, length: uint64(len(payload))}
-	s.ids = insertSortedID(s.ids, o.ID())
-	return nil
-}
-
-// Delete implements Mutator: one tombstone record appended to the log. The
-// payload stays readable through Get for in-flight snapshot queries.
-func (s *LogStore) Delete(id uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed != nil {
-		return s.failed
-	}
-	e, isLive := s.live[id]
-	if !isLive {
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, id)
-	if err := s.appendRecord(recTombstone, payload); err != nil {
-		return err
-	}
-	delete(s.live, id)
-	s.dead[id] = e
-	s.ids = removeSortedID(s.ids, id)
-	return nil
-}
-
 // Live implements LivenessChecker.
 func (s *LogStore) Live(id uint64) (bool, bool) {
 	s.mu.RLock()
@@ -796,13 +715,18 @@ func (s *LogStore) Live(id uint64) (bool, bool) {
 	return isLive, true
 }
 
-// ApplyBatch implements BatchMutator: the whole batch — puts first, then
+// ApplyBatch implements Mutator: the whole batch — puts first, then
 // tombstones — is encoded into ONE batch record, landed with one write and
-// (policy permitting) one fsync. Because the group is a single record
-// frame, a crash mid-write tears the batch as a unit: reopen drops the
-// partial frame whole and every previously fsync'd record survives, so a
-// group commit is atomic across power loss. Compare N single appends: N
-// syscalls, N fsyncs, and no cross-item atomicity.
+// (under SyncAlways) one fsync before it is acknowledged. Because the
+// group is a single record frame, a crash mid-write tears the batch as a
+// unit: reopen drops the partial frame whole and every previously fsync'd
+// record survives, so a group commit is atomic across power loss.
+//
+// Any write or fsync failure fail-stops the store (see failLocked): a
+// short or torn write leaves garbage at the tail that a full-length reopen
+// scan could mistake for corruption, and a failed fsync means the page
+// cache may already have dropped acknowledged bytes — in both cases
+// continuing to acknowledge writes would be lying about durability.
 func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	if len(inserts)+len(deletes) == 0 {
 		return nil
@@ -852,9 +776,15 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	}
 	crc := crc32.ChecksumIEEE(buf[:len(buf)-4])
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
-	if err := s.writeRecord(buf, s.policy != SyncOff); err != nil {
-		return err
+	if _, err := s.f.WriteAt(buf, s.offset); err != nil {
+		return s.failLocked("log append", err)
 	}
+	if s.policy != SyncOff {
+		if err := s.f.Sync(); err != nil {
+			return s.failLocked("log fsync", err)
+		}
+	}
+	s.offset += int64(len(buf))
 	for _, e := range entries {
 		s.live[e.id] = e
 	}
@@ -863,14 +793,14 @@ func (s *LogStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 		delete(s.live, id)
 		s.dead[id] = e
 	}
-	s.ids = rebuildSortedIDs(s.ids, inserts, deletes)
+	s.ids = mergeSortedIDs(s.ids, inserts, deletes)
 	return nil
 }
 
-// Sync flushes the file to stable storage. Under SyncAlways every append
-// already syncs itself and this is defense in depth; under SyncBatch and
-// SyncOff it is how a caller forces accumulated appends down before an
-// external checkpoint.
+// Sync flushes the file to stable storage. Under SyncAlways every commit
+// already syncs itself and this is defense in depth; under SyncOff it is
+// how a caller forces accumulated appends down before an external
+// checkpoint.
 func (s *LogStore) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -44,11 +44,25 @@ type Reader interface {
 	Dims() int
 }
 
-// Mutator is the write side of an object store: a Reader that also accepts
-// live inserts and deletes. Implementations must be safe for concurrent use
-// and must retain deleted payloads for Get (deletes are logical —
-// tombstones — so snapshot readers keep working; reclaim space with a
-// store-specific Compact once no snapshot can reference the dead objects).
+// Mutator is the write side of an object store: a Reader that also
+// commits mutations. Every mutation is a group: ApplyBatch applies all
+// inserts, then all deletes, atomically — either every item takes effect
+// or none does; a single insert or delete is a one-item group. A batch
+// must be self-consistent: each id may appear at most once across the
+// whole batch, insert ids must not be live, delete ids must be live, and
+// dimensionalities must match the store's (an empty store adopts the first
+// insert's, and keeps it even after every object is deleted).
+// Implementations validate the entire batch before touching any state and
+// report the first offending item as an *ItemError.
+//
+// The point of the group is one commit per batch: a log-backed store
+// encodes the whole batch into one record frame and issues one write and
+// one fsync, instead of one of each per item.
+//
+// Implementations must be safe for concurrent use and must retain deleted
+// payloads for Get (deletes are logical — tombstones — so snapshot readers
+// keep working; reclaim space with a store-specific Compact once no
+// snapshot can reference the dead objects).
 //
 // Caveat of the versionless Get contract: re-inserting a previously
 // deleted id makes the new payload the one Get serves. A query whose
@@ -58,28 +72,6 @@ type Reader interface {
 // recycle ids while such queries can be in flight.
 type Mutator interface {
 	Reader
-	// Insert adds a new object. The id must not collide with a live object
-	// (ErrDuplicate) and the dimensionality must match the store's
-	// (non-empty stores only).
-	Insert(o *fuzzy.Object) error
-	// Delete tombstones the object with the given id, or returns
-	// ErrNotFound if it is not live.
-	Delete(id uint64) error
-}
-
-// BatchMutator is a Mutator that can additionally commit a whole batch of
-// mutations as one group: all inserts, then all deletes, applied atomically
-// — either every item takes effect or none does. A batch must be
-// self-consistent: each id may appear at most once across the whole batch,
-// insert ids must not be live, delete ids must be live. Implementations
-// validate the entire batch before touching any state and report the first
-// offending item as an *ItemError.
-//
-// The point of the interface is group commit: a log-backed store encodes
-// the whole batch into one record frame, issues one write and one fsync,
-// instead of one of each per item.
-type BatchMutator interface {
-	Mutator
 	// ApplyBatch atomically applies inserts followed by deletes. A nil
 	// error means every item took effect; an *ItemError means no item did.
 	ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error
@@ -127,7 +119,7 @@ var ErrCorrupt = errors.New("store: corrupt data")
 // ErrReadOnly is returned for mutations on stores without a write side.
 var ErrReadOnly = errors.New("store: read-only")
 
-// ErrDuplicate is returned by Insert when the id is already live.
+// ErrDuplicate is returned for an insert whose id is already live.
 var ErrDuplicate = errors.New("store: duplicate object id")
 
 // ErrFailed marks a store that has fail-stopped: an I/O error on its
@@ -214,39 +206,6 @@ func (m *MemStore) Dims() int {
 	return m.dims
 }
 
-// Insert implements Mutator. An empty store adopts the first object's
-// dimensionality; it stays fixed afterwards, even across deletion of every
-// object.
-func (m *MemStore) Insert(o *fuzzy.Object) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, isLive := m.live[o.ID()]; isLive {
-		return fmt.Errorf("%w: %d", ErrDuplicate, o.ID())
-	}
-	if m.dims == 0 {
-		m.dims = o.Dims()
-	} else if o.Dims() != m.dims {
-		return fmt.Errorf("store: object dims %d, store dims %d", o.Dims(), m.dims)
-	}
-	m.objs[o.ID()] = o
-	m.live[o.ID()] = struct{}{}
-	m.ids = insertSortedID(m.ids, o.ID())
-	return nil
-}
-
-// Delete implements Mutator: the id leaves the live set but its payload
-// stays readable for in-flight snapshot queries.
-func (m *MemStore) Delete(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, isLive := m.live[id]; !isLive {
-		return fmt.Errorf("%w: id %d", ErrNotFound, id)
-	}
-	delete(m.live, id)
-	m.ids = removeSortedID(m.ids, id)
-	return nil
-}
-
 // Live implements LivenessChecker.
 func (m *MemStore) Live(id uint64) (bool, bool) {
 	m.mu.RLock()
@@ -255,10 +214,8 @@ func (m *MemStore) Live(id uint64) (bool, bool) {
 	return isLive, true
 }
 
-// ApplyBatch implements BatchMutator: the whole batch is validated, then
-// applied under one lock acquisition, and the sorted id slice is rebuilt by
-// a single merge instead of one O(n) splice per item (the per-item path
-// makes bulk ingest O(n²)).
+// ApplyBatch implements Mutator: the whole batch is validated, then
+// applied under one lock acquisition.
 func (m *MemStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -277,18 +234,21 @@ func (m *MemStore) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	for _, id := range deletes {
 		delete(m.live, id)
 	}
-	m.ids = rebuildSortedIDs(m.ids, inserts, deletes)
+	m.ids = mergeSortedIDs(m.ids, inserts, deletes)
 	return nil
 }
 
-// validateBatch checks the shared BatchMutator contract — unique ids across
+// validateBatch checks the shared Mutator contract — unique ids across
 // the batch, consistent dimensionality, inserts not live, deletes live —
 // against a store's live-set predicate, and returns the dimensionality the
 // store adopts if the batch commits (an empty store takes the first
 // insert's). Every violation is reported as an *ItemError carrying the
 // offending position.
 func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live func(uint64) bool) (int, error) {
-	seen := make(map[uint64]bool, len(inserts)+len(deletes))
+	var seen map[uint64]bool // stays nil for a one-item batch, which cannot repeat an id: no map per single op
+	if len(inserts)+len(deletes) > 1 {
+		seen = make(map[uint64]bool, len(inserts)+len(deletes))
+	}
 	for i, o := range inserts {
 		if o == nil {
 			return 0, &ItemError{Pos: i, Err: errors.New("nil object")}
@@ -304,7 +264,9 @@ func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live fun
 		if live(o.ID()) {
 			return 0, &ItemError{Pos: i, Err: fmt.Errorf("%w: %d", ErrDuplicate, o.ID())}
 		}
-		seen[o.ID()] = true
+		if seen != nil {
+			seen[o.ID()] = true
+		}
 	}
 	for i, id := range deletes {
 		if seen[id] {
@@ -313,56 +275,53 @@ func validateBatch(inserts []*fuzzy.Object, deletes []uint64, dims int, live fun
 		if !live(id) {
 			return 0, &ItemError{Delete: true, Pos: i, Err: fmt.Errorf("%w: id %d", ErrNotFound, id)}
 		}
-		seen[id] = true
+		if seen != nil {
+			seen[id] = true
+		}
 	}
 	return dims, nil
 }
 
-// rebuildSortedIDs merges a committed batch into the ascending live-id
-// slice: one sort of the inserted ids and one linear merge, O(n + b log b)
-// for the whole batch.
-func rebuildSortedIDs(ids []uint64, inserts []*fuzzy.Object, deletes []uint64) []uint64 {
-	added := make([]uint64, len(inserts))
-	for i, o := range inserts {
-		added[i] = o.ID()
-	}
-	slices.Sort(added)
-	dead := make(map[uint64]bool, len(deletes))
-	for _, id := range deletes {
-		dead[id] = true
-	}
-	out := make([]uint64, 0, len(ids)+len(added)-len(deletes))
-	i, j := 0, 0
-	for i < len(ids) || j < len(added) {
-		var id uint64
-		switch {
-		case j == len(added) || (i < len(ids) && ids[i] < added[j]):
-			id = ids[i]
-			i++
-		default:
-			id = added[j]
-			j++
+// mergeSortedIDs applies a committed batch to the ascending live-id slice
+// in place: the deletes are compacted out in one pass that starts at the
+// first deleted id, then the inserts are merged in from the back. Ingest
+// appends ascending ids, so a one-item commit moves no existing id and
+// allocates only when the slice must grow.
+func mergeSortedIDs(ids []uint64, inserts []*fuzzy.Object, deletes []uint64) []uint64 {
+	if len(deletes) > 0 {
+		dead := slices.Clone(deletes)
+		slices.Sort(dead)
+		w, _ := slices.BinarySearch(ids, dead[0])
+		d := 0
+		for _, id := range ids[w:] {
+			for d < len(dead) && dead[d] < id {
+				d++
+			}
+			if d < len(dead) && dead[d] == id {
+				continue
+			}
+			ids[w] = id
+			w++
 		}
-		if !dead[id] {
-			out = append(out, id)
-		}
+		ids = ids[:w]
 	}
-	return out
-}
-
-// insertSortedID splices id into the ascending slice.
-func insertSortedID(ids []uint64, id uint64) []uint64 {
-	i, _ := slices.BinarySearch(ids, id)
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeSortedID splices id out of the ascending slice (no-op if absent).
-func removeSortedID(ids []uint64, id uint64) []uint64 {
-	if i, ok := slices.BinarySearch(ids, id); ok {
-		ids = append(ids[:i], ids[i+1:]...)
+	if len(inserts) > 0 {
+		added := make([]uint64, len(inserts))
+		for i, o := range inserts {
+			added[i] = o.ID()
+		}
+		slices.Sort(added)
+		i, j := len(ids)-1, len(added)-1
+		ids = slices.Grow(ids, len(added))[:len(ids)+len(added)]
+		for k := len(ids) - 1; j >= 0; k-- {
+			if i >= 0 && ids[i] > added[j] {
+				ids[k] = ids[i]
+				i--
+			} else {
+				ids[k] = added[j]
+				j--
+			}
+		}
 	}
 	return ids
 }

@@ -37,37 +37,9 @@ func (c *Counting) Uncounted() Reader { return c.Reader }
 // Reset zeroes the access counter.
 func (c *Counting) Reset() { c.n.Store(0) }
 
-// asMutator resolves r's write side, or fails with ErrReadOnly.
-func asMutator(r Reader) (Mutator, error) {
-	if m, ok := r.(Mutator); ok {
-		return m, nil
-	}
-	return nil, fmt.Errorf("%w: %T has no write side", ErrReadOnly, r)
-}
-
-// Insert implements Mutator by forwarding to the wrapped store's write side
-// (ErrReadOnly when it has none). Writes are not counted: the paper's cost
-// metric charges object retrievals only.
-func (c *Counting) Insert(o *fuzzy.Object) error {
-	m, err := asMutator(c.Reader)
-	if err != nil {
-		return err
-	}
-	return m.Insert(o)
-}
-
-// Delete implements Mutator by forwarding; see Insert.
-func (c *Counting) Delete(id uint64) error {
-	m, err := asMutator(c.Reader)
-	if err != nil {
-		return err
-	}
-	return m.Delete(id)
-}
-
-// ApplyBatch implements BatchMutator by forwarding the whole group to the
-// wrapped store (falling back to item-by-item application when it has no
-// batch side). Writes are not counted, like Insert/Delete.
+// ApplyBatch implements Mutator by forwarding the whole group to the
+// wrapped store (ErrReadOnly when it has no write side). Writes are not
+// counted: the paper's cost metric charges object retrievals only.
 func (c *Counting) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 	return forwardBatch(c.Reader, inserts, deletes)
 }
@@ -76,29 +48,14 @@ func (c *Counting) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
 // wrapped store cannot answer).
 func (c *Counting) Live(id uint64) (bool, bool) { return forwardLive(c.Reader, id) }
 
-// forwardBatch routes a batch mutation to the wrapped store's batch side
-// when it has one. A plain Mutator gets the items one by one — same
-// outcome when everything is valid, but without cross-item atomicity: the
-// first failure aborts with the items before it already applied.
+// forwardBatch routes a batch mutation to the wrapped store's write side,
+// or fails with ErrReadOnly.
 func forwardBatch(r Reader, inserts []*fuzzy.Object, deletes []uint64) error {
-	if bm, ok := r.(BatchMutator); ok {
-		return bm.ApplyBatch(inserts, deletes)
+	m, ok := r.(Mutator)
+	if !ok {
+		return fmt.Errorf("%w: %T has no write side", ErrReadOnly, r)
 	}
-	m, err := asMutator(r)
-	if err != nil {
-		return err
-	}
-	for i, o := range inserts {
-		if err := m.Insert(o); err != nil {
-			return &ItemError{Pos: i, Err: err}
-		}
-	}
-	for i, id := range deletes {
-		if err := m.Delete(id); err != nil {
-			return &ItemError{Delete: true, Pos: i, Err: err}
-		}
-	}
-	return nil
+	return m.ApplyBatch(inserts, deletes)
 }
 
 // forwardLive resolves a liveness probe through the wrapped store.
@@ -204,50 +161,21 @@ func (l *LRU) invalidate(id uint64) {
 	l.mu.Unlock()
 }
 
-// Insert implements Mutator by forwarding to the wrapped store's write side
-// (ErrReadOnly when it has none), invalidating any cached version of the id.
-func (l *LRU) Insert(o *fuzzy.Object) error {
-	m, err := asMutator(l.inner)
-	if err != nil {
-		return err
-	}
-	if err := m.Insert(o); err != nil {
-		return err
-	}
-	l.invalidate(o.ID())
-	return nil
-}
-
-// Delete implements Mutator by forwarding; the cached version is dropped so
-// a later re-insert of the id cannot serve stale data.
-func (l *LRU) Delete(id uint64) error {
-	m, err := asMutator(l.inner)
-	if err != nil {
-		return err
-	}
-	if err := m.Delete(id); err != nil {
-		return err
-	}
-	l.invalidate(id)
-	return nil
-}
-
-// ApplyBatch implements BatchMutator by forwarding the group. Every
-// touched id is invalidated even on failure: a rejected batch applied
-// nothing on a real BatchMutator, but the sequential fallback over a plain
-// Mutator may have landed a prefix, and a spurious invalidation only costs
-// a refetch.
+// ApplyBatch implements Mutator by forwarding the group, then dropping
+// every touched id from the cache so a later re-insert of an id cannot
+// serve stale data. A failed group applied nothing, so it invalidates
+// nothing.
 func (l *LRU) ApplyBatch(inserts []*fuzzy.Object, deletes []uint64) error {
-	err := forwardBatch(l.inner, inserts, deletes)
+	if err := forwardBatch(l.inner, inserts, deletes); err != nil {
+		return err
+	}
 	for _, o := range inserts {
-		if o != nil {
-			l.invalidate(o.ID())
-		}
+		l.invalidate(o.ID())
 	}
 	for _, id := range deletes {
 		l.invalidate(id)
 	}
-	return err
+	return nil
 }
 
 // Live implements LivenessChecker by forwarding ((false, false) when the
